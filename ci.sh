@@ -165,6 +165,16 @@ echo "$FC_METRICS_ON" | grep -q 'X-Rvz-Cache: miss'
 # Every response carries a 16-hex-digit trace ID.
 "$RVZ" client --addr "$ADDR" --path /healthz \
     | grep -Eq '^X-Rvz-Trace: [0-9a-f]{16}$'
+# Wire golden: a raw /healthz exchange must answer exactly these bytes
+# (status line, header order, framing, body). `/dev/tcp` is a bash
+# feature, and this script runs under plain sh.
+WIRE_GOT="$(mktemp -t rvz_wire_got.XXXXXX)"
+bash -c 'exec 3<>"/dev/tcp/${1%:*}/${1##*:}"
+printf "GET /healthz HTTP/1.1\r\nHost: rvz\r\nX-Rvz-Trace: 00000000000000aa\r\nConnection: close\r\n\r\n" >&3
+cat <&3' wire "$ADDR" > "$WIRE_GOT"
+printf 'HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\nX-Rvz-Trace: 00000000000000aa\r\nConnection: close\r\n\r\n{"ok":true}' \
+    | cmp - "$WIRE_GOT" || { echo "/healthz wire bytes changed"; od -c "$WIRE_GOT"; exit 1; }
+rm -f "$WIRE_GOT"
 # /metrics serves the Prometheus exposition with every family present
 # from the first scrape (preregistration), faults and sheds included.
 METRICS_SCRAPE="$("$RVZ" client --addr "$ADDR" --path /metrics)"

@@ -108,12 +108,8 @@ impl HttpClient {
         path: &str,
         body: Option<&str>,
     ) -> std::io::Result<ClientResponse> {
-        let body = body.unwrap_or("");
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nHost: rvz\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )?;
+        self.writer
+            .write_all(&encode_request(method, path, body.unwrap_or("")))?;
         self.writer.flush()?;
         self.read_response()
     }
@@ -157,6 +153,16 @@ impl HttpClient {
             body: String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))?,
         })
     }
+}
+
+/// The whole request as it goes on the wire, so it leaves the
+/// `TCP_NODELAY` socket in one `write` rather than one per fragment.
+fn encode_request(method: &str, path: &str, body: &str) -> Vec<u8> {
+    format!(
+        "{method} {path} HTTP/1.1\r\nHost: rvz\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
 }
 
 /// Retry discipline for shed (503) responses: capped exponential
@@ -287,6 +293,54 @@ pub fn request_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn requests_encode_to_pinned_bytes() {
+        assert_eq!(
+            encode_request("GET", "/healthz", ""),
+            b"GET /healthz HTTP/1.1\r\nHost: rvz\r\nContent-Length: 0\r\n\r\n"
+        );
+        assert_eq!(
+            encode_request(
+                "POST",
+                "/first-contact",
+                r#"{"speed":0.5,"distance":0.9,"visibility":0.25}"#
+            ),
+            b"POST /first-contact HTTP/1.1\r\nHost: rvz\r\nContent-Length: 46\r\n\r\n\
+              {\"speed\":0.5,\"distance\":0.9,\"visibility\":0.25}"
+        );
+    }
+
+    #[test]
+    fn a_request_arrives_in_the_peers_first_read() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let body = r#"{"speed":0.5,"distance":0.9,"visibility":0.25}"#;
+        let peer = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            // The peer is already blocked in `read` when the request is
+            // sent, so a request written in fragments usually wakes it
+            // with only the first one.
+            let mut buf = [0u8; 4096];
+            let n = conn.read(&mut buf).unwrap();
+            conn.write_all(b"HTTP/1.1 204 No Content\r\nContent-Length: 0\r\n\r\n")
+                .unwrap();
+            buf[..n].to_vec()
+        });
+        let mut client = HttpClient::connect(&addr).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            client
+                .request("POST", "/first-contact", Some(body))
+                .unwrap()
+                .status,
+            204
+        );
+        assert_eq!(
+            peer.join().unwrap(),
+            encode_request("POST", "/first-contact", body)
+        );
+    }
 
     #[test]
     fn backoff_doubles_jitters_and_caps() {

@@ -11,6 +11,7 @@
 //! per connection so a misbehaving client cannot balloon a worker.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
 /// Upper bound on the request line plus all headers.
@@ -303,7 +304,9 @@ impl Response {
     }
 
     /// Serializes the response onto the stream (status line,
-    /// `Content-Type`, `Content-Length`, extras).
+    /// `Content-Type`, `Content-Length`, extras, body) in a single
+    /// `write_all`: on a `TCP_NODELAY` socket every `write` leaves as
+    /// its own segment, so the message is assembled in memory first.
     ///
     /// # Errors
     ///
@@ -319,23 +322,26 @@ impl Response {
             503 => "Service Unavailable",
             _ => "Response",
         };
-        write!(
-            stream,
+        // Formatting into a `String` cannot fail.
+        let mut wire = String::with_capacity(256 + self.body.len());
+        let _ = write!(
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
             reason,
             self.content_type,
             self.body.len()
-        )?;
+        );
         for (name, value) in &self.extra_headers {
-            write!(stream, "{name}: {value}\r\n")?;
+            let _ = write!(wire, "{name}: {value}\r\n");
         }
-        write!(
-            stream,
+        let _ = write!(
+            wire,
             "Connection: {}\r\n\r\n",
             if self.close { "close" } else { "keep-alive" }
-        )?;
-        stream.write_all(self.body.as_bytes())?;
+        );
+        wire.push_str(&self.body);
+        stream.write_all(wire.as_bytes())?;
         stream.flush()
     }
 }
@@ -420,19 +426,85 @@ mod tests {
         ));
     }
 
+    /// A `Write` that records every `write` call, standing in for a
+    /// `TCP_NODELAY` socket where each call leaves as its own segment.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Writes `resp` and asserts it left in one `write` with exactly
+    /// the `expected` bytes.
+    fn assert_one_write(resp: &Response, expected: &str) {
+        let mut w = CountingWriter::default();
+        resp.write_to(&mut w).unwrap();
+        assert_eq!(String::from_utf8(w.bytes).unwrap(), expected);
+        assert_eq!(w.writes, 1, "one write per message");
+    }
+
     #[test]
     fn responses_serialize_with_length_and_headers() {
-        let mut out = Vec::new();
-        Response::ok("{\"ok\":true}".into())
+        let hit = Response::ok("{\"ok\":true}".into())
             .header("X-Rvz-Cache", "hit")
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Length: 11\r\n"));
-        assert!(text.contains("X-Rvz-Cache: hit\r\n"));
-        assert!(text.contains("Connection: keep-alive\r\n"));
-        assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+            .header("X-Rvz-Trace", "00000000000000aa");
+        assert_one_write(
+            &hit,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+             X-Rvz-Cache: hit\r\nX-Rvz-Trace: 00000000000000aa\r\n\
+             Connection: keep-alive\r\n\r\n{\"ok\":true}",
+        );
+
+        let bad = Response::error(400, "invalid JSON").header("X-Rvz-Trace", "0000000000000001");
+        assert_one_write(
+            &bad,
+            "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nContent-Length: 24\r\n\
+             X-Rvz-Trace: 0000000000000001\r\n\
+             Connection: keep-alive\r\n\r\n{\"error\":\"invalid JSON\"}",
+        );
+
+        let mut too_large = Response::error(413, "request body too large");
+        too_large.close = true;
+        assert_one_write(
+            &too_large,
+            "HTTP/1.1 413 Payload Too Large\r\nContent-Type: application/json\r\n\
+             Content-Length: 34\r\nConnection: close\r\n\r\n\
+             {\"error\":\"request body too large\"}",
+        );
+
+        let mut shed = Response::error(503, "server overloaded: connection queue full")
+            .header("Retry-After", "1");
+        shed.close = true;
+        assert_one_write(
+            &shed,
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 52\r\nRetry-After: 1\r\nConnection: close\r\n\r\n\
+             {\"error\":\"server overloaded: connection queue full\"}",
+        );
+
+        let metrics = Response::ok_text(
+            "# TYPE rvz_up gauge\nrvz_up 1\n".into(),
+            "text/plain; version=0.0.4",
+        )
+        .header("X-Rvz-Trace", "0000000000000002");
+        assert_one_write(
+            &metrics,
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: 29\r\n\
+             X-Rvz-Trace: 0000000000000002\r\n\
+             Connection: keep-alive\r\n\r\n# TYPE rvz_up gauge\nrvz_up 1\n",
+        );
     }
 
     #[test]
