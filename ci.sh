@@ -283,6 +283,8 @@ echo "$AGAIN" | grep -q 'X-Rvz-Cache: hit'
 [ "$(echo "$FIRST" | tail -n 1)" = "$(echo "$AGAIN" | tail -n 1)" ] \
     || { echo "warm-start answer diverged from the computed one"; exit 1; }
 "$RVZ" client --addr "$ADDR" --path /stats | grep -q '"durability"'
+# The benchmark's serve ledger reads /stats -> programs.reference_lowerings.
+"$RVZ" client --addr "$ADDR" --path /stats | grep -q '"reference_lowerings"'
 "$RVZ" client --addr "$ADDR" --path /shutdown --method POST >/dev/null
 wait "$SERVE_PID"
 # --- sweep: kill mid-checkpoint, resume, demand bit-identical artifacts.

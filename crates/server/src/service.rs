@@ -36,18 +36,15 @@ use rvz_experiments::{
 };
 use rvz_model::{feasibility, Chirality, RobotAttributes};
 use rvz_sim::{
-    first_contact_batch_soa, try_first_contact_programs, Budget, ContactOptions, EngineScratch,
-    SimOutcome,
+    compile_rendezvous_partner, first_contact_batch_soa, try_first_contact_programs, Budget,
+    ContactOptions, EngineScratch, SimOutcome,
 };
 use rvz_trajectory::{Compile, CompileOptions, CompiledProgram, ProgramSoA};
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-/// A lowered program shared between the program cache and in-flight
-/// queries.
-type SharedProgram = Arc<CompiledProgram>;
 
 /// Tuning for a [`Service`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,26 +62,20 @@ pub struct ServiceOptions {
     /// Engine options and batch thread count for cache misses.
     ///
     /// `sweep.compile_pieces` doubles as the piece budget of the
-    /// service's **compiled-program cache** (`0` disables it). Beside
-    /// the result cache, the service keeps compiled programs: the
+    /// service's **compiled route** (`0` disables it). The
     /// **reference** program (the common algorithm from the origin, a
-    /// function of the algorithm and the service horizon alone) is
-    /// lowered **at most once per algorithm for the process lifetime**
-    /// — including the negative result, so a horizon too deep for the
-    /// budget is probed exactly once and every later query skips
-    /// straight to the cursor path — and its SoA arena (feeding the
-    /// lane/batch kernels) is built from it exactly once more. Each
-    /// orbit's frame-warped **partner** is lowered eagerly on a miss,
-    /// to the full budget-capped depth, and cached under the same
-    /// canonical key as its result, so warm misses replay on the
-    /// cached handle; since the partner cache shares the result
-    /// cache's capacity and access pattern, a partner is evicted no
-    /// later than its result — a fresh miss on an evicted orbit
-    /// re-lowers the partner (to the same depth, hence byte-identical
-    /// replies) but never re-lowers the reference (the dominant cost).
-    /// The service owns all lowering itself: the executor's own
-    /// compiled path is disabled at construction so no per-request
-    /// worker ever re-lowers a reference.
+    /// function of the algorithm and the service horizon alone) and its
+    /// SoA arena are built **at most once per algorithm for the process
+    /// lifetime** — including the negative result, so a horizon too
+    /// deep for the budget is probed exactly once and every later miss
+    /// skips straight to the cursor path. Each miss lowers its orbit's
+    /// frame-warped **partner** eagerly, to the full budget-capped
+    /// depth, and drops it after the query: no program outlives its
+    /// request, so which engine answers a miss is a function of the
+    /// query alone, never of cache or restore history. The service owns
+    /// all lowering itself: the executor's own compiled path is
+    /// disabled at construction so no per-request worker ever re-lowers
+    /// a reference.
     pub sweep: SweepOptions,
     /// Per-request wall-clock deadline for engine work. Each request
     /// gets a fresh [`Budget`] starting at dispatch; an exhausted one
@@ -143,22 +134,16 @@ pub enum Control {
 /// The shared, thread-safe query service.
 pub struct Service {
     opts: ServiceOptions,
-    /// The program-cache piece budget, taken from
+    /// The compiled route's piece budget, taken from
     /// `sweep.compile_pieces` at construction (the copy inside `opts`
     /// is zeroed so executor fallbacks never lower independently).
     compile_pieces: usize,
     cache: ResultCache<SimOutcome>,
-    /// Partner-program cache: one frame-warped partner program at full
-    /// (piece-budget-capped) coverage — or a remembered lowering
-    /// refusal — per canonical orbit, keyed like the result cache.
-    programs: ResultCache<Option<SharedProgram>>,
     /// Reference programs, one per [`Algorithm`]: a pure function of
-    /// the algorithm and the service horizon, lowered at most once for
-    /// the process lifetime.
-    reference: [OnceLock<Option<SharedProgram>>; 2],
-    /// SoA arenas of the reference programs, built at most once per
-    /// algorithm and shared by the lane/batch kernels across requests.
-    reference_soa: [OnceLock<Option<Arc<ProgramSoA>>>; 2],
+    /// the algorithm and the service horizon, built at most once for
+    /// the process lifetime (`None` when the lowering does not cover
+    /// the horizon).
+    reference: [OnceLock<Option<Reference>>; 2],
     /// How many reference lowerings actually ran (observability: stays
     /// at ≤ 2 no matter how many orbits stream through).
     reference_lowerings: AtomicU64,
@@ -186,6 +171,13 @@ pub struct Service {
     /// Durability observability (restore outcome, snapshot-write
     /// bookkeeping); `None` inside until snapshots are used.
     durability: Mutex<Durability>,
+}
+
+/// A horizon-covering reference program together with its SoA arena
+/// (the batch kernel streams the arena; the scalar ladder the program).
+struct Reference {
+    program: CompiledProgram,
+    arena: ProgramSoA,
 }
 
 /// Snapshot/restore bookkeeping behind [`Service::durability`], fed by
@@ -220,9 +212,7 @@ impl Service {
         preregister_metrics();
         Service {
             cache: ResultCache::new(opts.cache_capacity, opts.cache_shards),
-            programs: ResultCache::new(opts.cache_capacity, opts.cache_shards),
             reference: [OnceLock::new(), OnceLock::new()],
-            reference_soa: [OnceLock::new(), OnceLock::new()],
             reference_lowerings: AtomicU64::new(0),
             compile_pieces,
             opts,
@@ -259,37 +249,24 @@ impl Service {
     }
 
     /// Captures the current cache state for a snapshot: result entries
-    /// and program orbit keys, each in per-shard recency order.
-    /// In-flight single-flight claims and deadline outcomes are never
-    /// included (claims are not values; deadlines are never cached).
+    /// in per-shard recency order. In-flight single-flight claims and
+    /// deadline outcomes are never included (claims are not values;
+    /// deadlines are never cached).
     pub fn snapshot_data(&self) -> SnapshotData {
         SnapshotData {
             results: self.cache.export(),
-            program_keys: self
-                .programs
-                .export()
-                .into_iter()
-                .map(|(key, _)| key)
-                .collect(),
         }
     }
 
-    /// Restores caches from the snapshot at `path` (if any), degrading
-    /// gracefully: corrupt or mismatched snapshots cold-start. Returns
-    /// the outcome; it is also kept for `/stats` and the boot banner.
-    ///
-    /// Program entries are restored as *placeholders* (`None`): the
-    /// first miss on the orbit re-streams the partner program, while
-    /// the cache's entry count and recency order match the snapshotted
-    /// process exactly.
+    /// Restores the result cache from the snapshot at `path` (if any),
+    /// degrading gracefully: corrupt or mismatched snapshots
+    /// cold-start. Returns the outcome; it is also kept for `/stats`
+    /// and the boot banner.
     pub fn restore_from(&self, path: &Path) -> RestoreOutcome {
         let disk = self.faults.as_ref().and_then(|f| f.disk());
         let (data, outcome) = read_snapshot(path, self.engine_fingerprint(), disk.as_ref());
         for (key, value) in data.results {
             self.cache.insert(key, value);
-        }
-        for key in data.program_keys {
-            self.programs.insert(key, None);
         }
         let mut d = self.durability.lock().expect("durability poisoned");
         d.restore = Some(outcome.clone());
@@ -307,7 +284,7 @@ impl Service {
     /// caller's log line.
     pub fn write_snapshot_to(&self, path: &Path) -> std::io::Result<usize> {
         let data = self.snapshot_data();
-        let entries = data.results.len() + data.program_keys.len();
+        let entries = data.results.len();
         let disk = self.faults.as_ref().and_then(|f| f.disk());
         let result = write_snapshot(path, self.engine_fingerprint(), &data, disk);
         let mut d = self.durability.lock().expect("durability poisoned");
@@ -342,11 +319,6 @@ impl Service {
     /// Cache counters (also served under `/stats`).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Partner-program cache counters (also served under `/stats`).
-    pub fn program_stats(&self) -> CacheStats {
-        self.programs.stats()
     }
 
     /// How many reference lowerings have run (at most one per algorithm).
@@ -487,7 +459,6 @@ impl Service {
 
     fn stats_response(&self) -> Response {
         let stats = self.cache.stats();
-        let programs = self.programs.stats();
         let body = Json::obj(vec![
             (
                 "requests",
@@ -521,10 +492,7 @@ impl Service {
                 "programs",
                 Json::obj(vec![
                     ("enabled", Json::Bool(self.compile_pieces > 0)),
-                    ("entries", Json::Num(programs.entries as f64)),
                     ("piece_budget", Json::Num(self.compile_pieces as f64)),
-                    ("hits", Json::Num(programs.hits as f64)),
-                    ("misses", Json::Num(programs.misses as f64)),
                     (
                         "reference_lowerings",
                         Json::Num(self.reference_lowerings() as f64),
@@ -587,7 +555,6 @@ impl Service {
         gauge!("rvz_uptime_seconds").set(self.start.elapsed().as_secs() as i64);
         gauge!("rvz_inflight").set(self.inflight.load(Ordering::SeqCst) as i64);
         gauge!("rvz_cache_entries").set(self.cache.stats().entries as i64);
-        gauge!("rvz_program_cache_entries").set(self.programs.stats().entries as i64);
         gauge!("rvz_queue_depth").set(
             self.server_queued
                 .get()
@@ -724,9 +691,9 @@ impl Service {
         let contact = self.request_contact();
         let (outcome, hit) = if self.opts.no_cache {
             // The A/B baseline bypasses the result cache *and* the
-            // compiled-program path: every request runs the cursor
-            // engine from scratch, so the loadtest speedup measures the
-            // whole caching+compilation stack against the bare engine.
+            // compiled route: every request runs the cursor engine from
+            // scratch, so the loadtest speedup measures the whole
+            // caching+compilation stack against the bare engine.
             (self.simulate(&canonical.scenario, &contact), false)
         } else {
             self.cache.get_or_compute_if(
@@ -737,7 +704,7 @@ impl Service {
                             panic!("injected fault: cache compute failure");
                         }
                     }
-                    self.simulate_with_key(&canonical.scenario, Some(canonical.key), &contact)
+                    self.simulate(&canonical.scenario, &contact)
                 },
                 // A deadline outcome reflects this request's wall
                 // clock, not the scenario: caching it would serve a
@@ -772,21 +739,12 @@ impl Service {
         }
     }
 
+    /// Simulates one canonical representative: through the compiled
+    /// route when it resolves the query, otherwise through the
+    /// cursor-path sweep executor. Both paths are deterministic
+    /// functions of the scenario, so responses stay pure functions of
+    /// the query.
     fn simulate(&self, canonical: &Scenario, contact: &ContactOptions) -> SimOutcome {
-        self.simulate_with_key(canonical, None, contact)
-    }
-
-    /// Simulates the canonical representative: through the cached
-    /// compiled programs when possible (key provided and the orbit
-    /// lowers under the budget), otherwise through the cursor-path
-    /// sweep executor. Both paths are deterministic functions of the
-    /// scenario, so responses stay pure functions of the query.
-    fn simulate_with_key(
-        &self,
-        canonical: &Scenario,
-        key: Option<rvz_experiments::CacheKey>,
-        contact: &ContactOptions,
-    ) -> SimOutcome {
         if let Some(f) = &self.faults {
             if f.fires(FaultSite::EngineDelay) {
                 // Injected engine latency: the request spends extra
@@ -795,12 +753,12 @@ impl Service {
                 std::thread::sleep(f.delay());
             }
         }
-        if let Some(key) = key {
-            if self.compile_pieces > 0 {
-                if let Some(outcome) = self.simulate_compiled(canonical, key, contact) {
-                    return outcome;
-                }
-            }
+        if let Some(outcome) = self
+            .simulate_compiled(std::slice::from_ref(canonical), contact)
+            .pop()
+            .flatten()
+        {
+            return outcome;
         }
         // opts.sweep.compile_pieces was zeroed at construction: the
         // executor never lowers on the service's behalf.
@@ -812,205 +770,108 @@ impl Service {
         run_sweep(std::slice::from_ref(canonical), &single)[0].outcome
     }
 
-    /// The compiled fast path: the cached reference against the
-    /// orbit's partner program, resolved **kernel-first**. The query
-    /// runs as a one-element [`first_contact_batch_soa`] batch — the
-    /// *same* entry point `/sweep` groups route through, so a
-    /// representative produces identical bytes whether it arrives
-    /// alone or inside a batch (the batch kernel's per-pair decisions,
-    /// including the window-table disproof, are independent of the
-    /// other batch members). A kernel refusal (the advancement outran
-    /// the piece-budget-capped coverage) falls back to the scalar
-    /// ladder over the same pieces, and `None` hands the query to the
-    /// cursor executor.
-    ///
-    /// The partner handle always holds the orbit's *full*
-    /// (budget-capped) lowering — [`Self::partner_program`] upgrades
-    /// anything shallower — so which engine resolves a representative
-    /// is a pure function of the scenario and the engine options,
-    /// never of cache history: the determinism contract holds for
-    /// every cached byte.
+    /// The compiled route for cache misses, shared by `/first-contact`
+    /// (one representative) and `/sweep` (its miss list), so a
+    /// representative produces identical bytes whether it arrives alone
+    /// or inside a batch. Each partner is lowered eagerly under the
+    /// piece budget, and the representatives sharing an algorithm and a
+    /// visibility radius resolve **kernel-first** in one
+    /// [`first_contact_batch_soa`] call that streams the shared
+    /// reference arena once (the kernel's per-pair decisions, including
+    /// the window-table disproof, are independent of the other batch
+    /// members). A kernel refusal (the advancement outran the
+    /// budget-capped coverage) retries on the scalar ladder over the
+    /// same pieces. `None` hands a representative to the cursor
+    /// executor: the compiled route is off (`--no-cache`, piece budget
+    /// `0`), the reference does not cover the horizon, the partner does
+    /// not lower, or both engines refused.
     fn simulate_compiled(
         &self,
-        canonical: &Scenario,
-        key: rvz_experiments::CacheKey,
+        reps: &[Scenario],
         contact: &ContactOptions,
-    ) -> Option<SimOutcome> {
-        let reference = Arc::clone(self.reference_for(canonical.algorithm).as_ref()?);
-        let partner = self.partner_program(canonical, key)?;
-        let mut scratch = EngineScratch::new();
-        if let Some(arena) = self.reference_soa_for(canonical.algorithm) {
-            let partner_arena = ProgramSoA::from_program(&partner);
-            if let Some(outcome) = first_contact_batch_soa(
-                &arena,
-                std::slice::from_ref(&partner_arena),
-                canonical.visibility,
-                contact,
-                &mut scratch,
-            )
-            .pop()
-            .flatten()
-            {
-                return Some(outcome);
+    ) -> Vec<Option<SimOutcome>> {
+        type Group<'a> = (&'a Reference, Vec<usize>, Vec<CompiledProgram>);
+        let mut groups: BTreeMap<(usize, u64), Group<'_>> = BTreeMap::new();
+        if !self.opts.no_cache && self.compile_pieces > 0 {
+            for (j, rep) in reps.iter().enumerate() {
+                let Some(reference) = self.reference_for(rep.algorithm) else {
+                    continue;
+                };
+                let Some(partner) = self.lower_partner(rep) else {
+                    continue;
+                };
+                let key = (algorithm_slot(rep.algorithm), rep.visibility.to_bits());
+                let (_, indices, partners) = groups
+                    .entry(key)
+                    .or_insert_with(|| (reference, Vec::new(), Vec::new()));
+                indices.push(j);
+                partners.push(partner);
             }
         }
-        try_first_contact_programs(
-            &reference,
-            &partner,
-            canonical.visibility,
-            contact,
-            &mut scratch,
-        )
+        let mut outcomes = vec![None; reps.len()];
+        let mut scratch = EngineScratch::new();
+        for ((_, radius_bits), (reference, indices, partners)) in groups {
+            let radius = f64::from_bits(radius_bits);
+            let arenas: Vec<ProgramSoA> = partners.iter().map(ProgramSoA::from_program).collect();
+            let kernel =
+                first_contact_batch_soa(&reference.arena, &arenas, radius, contact, &mut scratch);
+            for ((j, partner), outcome) in indices.into_iter().zip(&partners).zip(kernel) {
+                outcomes[j] = outcome.or_else(|| {
+                    try_first_contact_programs(
+                        &reference.program,
+                        partner,
+                        radius,
+                        contact,
+                        &mut scratch,
+                    )
+                });
+            }
+        }
+        outcomes
     }
 
-    /// Routes a `/sweep` miss batch through the SoA batch kernel: all
-    /// representatives sharing an algorithm and a visibility radius
-    /// resolve in one [`first_contact_batch_soa`] call that streams
-    /// the shared reference arena once (window tables disprove
-    /// far-infeasible cells without touching their pieces). Cells the
-    /// kernel refuses stay `None` for the per-representative ladder,
-    /// which resolves them identically by construction.
-    fn batch_compiled(
-        &self,
-        missing: &[Scenario],
-        missing_index: &std::collections::HashMap<rvz_experiments::CacheKey, usize>,
-        contact: &ContactOptions,
-        computed: &mut [Option<SimOutcome>],
-    ) {
-        let mut groups: std::collections::HashMap<(usize, u64), (Vec<usize>, Vec<ProgramSoA>)> =
-            std::collections::HashMap::new();
-        for (key, &j) in missing_index {
-            let rep = &missing[j];
-            let slot = match rep.algorithm {
-                Algorithm::WaitAndSearch => 0,
-                Algorithm::UniversalSearch => 1,
-            };
-            if self.reference_soa_for(rep.algorithm).is_none() {
-                continue;
-            }
-            let Some(partner) = self.partner_program(rep, *key) else {
-                continue;
-            };
-            let (indices, partners) = groups.entry((slot, rep.visibility.to_bits())).or_default();
-            indices.push(j);
-            partners.push(ProgramSoA::from_program(&partner));
-        }
-        let mut scratch = EngineScratch::new();
-        for ((slot, radius_bits), (indices, partners)) in &groups {
-            let algorithm = if *slot == 0 {
-                Algorithm::WaitAndSearch
-            } else {
-                Algorithm::UniversalSearch
-            };
-            let arena = self
-                .reference_soa_for(algorithm)
-                .expect("grouped only under a built arena");
-            let outcomes = first_contact_batch_soa(
-                &arena,
-                partners,
-                f64::from_bits(*radius_bits),
-                contact,
-                &mut scratch,
-            );
-            for (&j, outcome) in indices.iter().zip(outcomes) {
-                computed[j] = outcome;
-            }
-        }
-    }
-
-    /// The orbit's partner program at full (piece-budget-capped)
-    /// coverage. A cached handle is replayed when it either covers the
-    /// horizon or already spent the whole piece budget (eager lowering
-    /// is deterministic, so such a handle is byte-for-byte what a
-    /// fresh lowering would produce); anything shallower — absent, or
-    /// a pre-upgrade query-depth freeze — is lowered eagerly and
-    /// upgrades the cache slot. A remembered lowering refusal stays a
-    /// hit and keeps handing the orbit to the cursor path.
-    ///
-    /// Unlike `get_or_compute`, concurrent misses of one orbit may
-    /// both lower (the last insert wins the slot); both produce the
-    /// same handle, so responses stay pure.
-    fn partner_program(
-        &self,
-        canonical: &Scenario,
-        key: rvz_experiments::CacheKey,
-    ) -> Option<SharedProgram> {
-        let horizon = self.opts.sweep.contact.horizon;
-        if let Some(slot) = self.programs.probe(&key) {
-            match slot {
-                Some(partner)
-                    if partner.covers(horizon) || partner.pieces().len() >= self.compile_pieces =>
-                {
-                    self.programs.record(1, 0);
-                    return Some(partner);
-                }
-                Some(_) => {} // shallow handle: fall through and upgrade
-                None => {
-                    self.programs.record(1, 0);
-                    return None;
-                }
-            }
-        }
-        self.programs.record(0, 1);
-        let instance = canonical.instance().ok()?;
+    /// The representative's frame-warped partner program at full
+    /// (piece-budget-capped) coverage, or `None` when it does not lower.
+    fn lower_partner(&self, rep: &Scenario) -> Option<CompiledProgram> {
+        let instance = rep.instance().ok()?;
         let copts = self.compile_options();
-        let compiled = match canonical.algorithm {
-            Algorithm::WaitAndSearch => instance
-                .attributes()
-                .frame_warp(rvz_core::WaitAndSearch, instance.offset())
-                .compile(&copts),
-            Algorithm::UniversalSearch => instance
-                .attributes()
-                .frame_warp(rvz_search::UniversalSearch, instance.offset())
-                .compile(&copts),
-        };
-        let shared = compiled.ok().map(Arc::new);
-        self.programs.insert(key, shared.clone());
-        shared
+        match rep.algorithm {
+            Algorithm::WaitAndSearch => {
+                compile_rendezvous_partner(&rvz_core::WaitAndSearch, &instance, &copts)
+            }
+            Algorithm::UniversalSearch => {
+                compile_rendezvous_partner(&rvz_search::UniversalSearch, &instance, &copts)
+            }
+        }
+        .ok()
     }
 
     fn compile_options(&self) -> CompileOptions {
         CompileOptions::to_horizon(self.opts.sweep.contact.horizon).max_pieces(self.compile_pieces)
     }
 
-    /// The reference program for an algorithm, lowered at most once for
-    /// the process lifetime. A truncated reference would refuse every
-    /// disproof-shaped query, so only horizon-covering lowerings are
-    /// kept.
-    fn reference_for(&self, algorithm: Algorithm) -> &Option<SharedProgram> {
-        let slot = match algorithm {
-            Algorithm::WaitAndSearch => 0,
-            Algorithm::UniversalSearch => 1,
-        };
-        self.reference[slot].get_or_init(|| {
-            self.reference_lowerings.fetch_add(1, Ordering::Relaxed);
-            let copts = self.compile_options();
-            let compiled = match algorithm {
-                Algorithm::WaitAndSearch => rvz_core::WaitAndSearch.compile(&copts),
-                Algorithm::UniversalSearch => rvz_search::UniversalSearch.compile(&copts),
-            };
-            compiled
-                .ok()
-                .filter(|p| p.covers(self.opts.sweep.contact.horizon))
-                .map(Arc::new)
-        })
-    }
-
-    /// The reference program's SoA arena, built at most once per
-    /// algorithm (a pure function of the reference program) and shared
-    /// by the lane kernel and the `/sweep` batch kernel.
-    fn reference_soa_for(&self, algorithm: Algorithm) -> Option<Arc<ProgramSoA>> {
-        let slot = match algorithm {
-            Algorithm::WaitAndSearch => 0,
-            Algorithm::UniversalSearch => 1,
-        };
-        self.reference_soa[slot]
+    /// The reference program and its SoA arena for an algorithm, built
+    /// at most once for the process lifetime. A truncated reference
+    /// would refuse every disproof-shaped query, so only
+    /// horizon-covering lowerings are kept.
+    fn reference_for(&self, algorithm: Algorithm) -> Option<&Reference> {
+        self.reference[algorithm_slot(algorithm)]
             .get_or_init(|| {
-                self.reference_for(algorithm)
-                    .as_ref()
-                    .map(|p| Arc::new(ProgramSoA::from_program(p)))
+                self.reference_lowerings.fetch_add(1, Ordering::Relaxed);
+                let copts = self.compile_options();
+                let compiled = match algorithm {
+                    Algorithm::WaitAndSearch => rvz_core::WaitAndSearch.compile(&copts),
+                    Algorithm::UniversalSearch => rvz_search::UniversalSearch.compile(&copts),
+                };
+                compiled
+                    .ok()
+                    .filter(|p| p.covers(self.opts.sweep.contact.horizon))
+                    .map(|program| Reference {
+                        arena: ProgramSoA::from_program(&program),
+                        program,
+                    })
             })
-            .clone()
+            .as_ref()
     }
 
     fn first_contact(&self, req: &Request) -> Response {
@@ -1082,8 +943,7 @@ impl Service {
             }
         }
         let mut missing: Vec<Scenario> = Vec::new();
-        let mut missing_index: std::collections::HashMap<rvz_experiments::CacheKey, usize> =
-            std::collections::HashMap::new();
+        let mut missing_index: HashMap<rvz_experiments::CacheKey, usize> = HashMap::new();
         for (i, c) in canonicals.iter().enumerate() {
             if outcomes[i].is_none() && !missing_index.contains_key(&c.key) {
                 missing_index.insert(c.key, missing.len());
@@ -1104,37 +964,18 @@ impl Service {
         }
         let contact = self.request_contact();
         if !missing.is_empty() {
-            // Resolve representatives through the service's own compiled
-            // path first (the per-process reference and the partner
-            // cache), so a batch never re-lowers what the single-query
-            // path already memoized; whatever refuses goes through the
+            // Resolve representatives through the service's compiled
+            // route first (the per-process reference, batch kernel,
+            // then scalar ladder); whatever it refuses goes through the
             // executor with its own lowering disabled — the executor
             // would otherwise rebuild (and, at deep horizons, discard) a
             // reference per worker per request.
-            //
-            // Representatives sharing an algorithm and a visibility
-            // radius route through the SoA **batch kernel** in one
-            // streaming pass over the shared reference arena (window
-            // tables disprove far-infeasible cells wholesale); kernel
-            // refusals and leftovers fall back to the per-representative
-            // ladder below, which resolves identically by construction.
-            let mut computed: Vec<Option<SimOutcome>> = vec![None; missing.len()];
-            if !self.opts.no_cache && self.compile_pieces > 0 {
-                self.batch_compiled(&missing, &missing_index, &contact, &mut computed);
-                for (key, &j) in &missing_index {
-                    if computed[j].is_none() {
-                        computed[j] = self.simulate_compiled(&missing[j], *key, &contact);
-                    }
-                }
-            }
+            let mut computed = self.simulate_compiled(&missing, &contact);
+            // Each representative's id is its index in `missing`.
             let leftover: Vec<Scenario> = missing
                 .iter()
-                .enumerate()
-                .filter(|(j, _)| computed[*j].is_none())
-                .map(|(idx, rep)| Scenario {
-                    id: idx as u64,
-                    ..*rep
-                })
+                .filter(|rep| computed[rep.id as usize].is_none())
+                .copied()
                 .collect();
             if !leftover.is_empty() {
                 // opts.sweep.compile_pieces is zeroed at construction:
@@ -1203,6 +1044,14 @@ thread_local! {
     /// [`Service::answer`] call, for the slow-query log (cache hits
     /// have no engine telemetry, but they do have an orbit).
     static LAST_ORBIT: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+}
+
+/// The per-algorithm index into [`Service::reference`].
+fn algorithm_slot(algorithm: Algorithm) -> usize {
+    match algorithm {
+        Algorithm::WaitAndSearch => 0,
+        Algorithm::UniversalSearch => 1,
+    }
 }
 
 /// FNV-1a digest of a canonical cache key — a compact, stable orbit
@@ -1368,7 +1217,6 @@ fn parse_body(body: &[u8]) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     fn request(method: &str, path: &str, body: &str) -> Request {
         let (path, query_string) = path.split_once('?').unwrap_or((path, ""));
@@ -1574,12 +1422,11 @@ mod tests {
 
     #[test]
     fn warm_misses_reuse_cached_programs() {
-        // A horizon the reference lowering covers: the compiled path
+        // A horizon the reference lowering covers: the compiled route
         // engages. The durable guarantee is the shared *reference*
         // program — lowered once for the process no matter how many
-        // orbits stream through or get evicted; partners are cached
-        // per orbit but share the result cache's eviction, so an
-        // evicted orbit re-lowers its (cheap) partner only.
+        // orbits stream through or get evicted; partners are lowered
+        // per miss and dropped with it.
         let svc = Service::new(ServiceOptions {
             sweep: SweepOptions {
                 threads: 1,
@@ -1591,7 +1438,7 @@ mod tests {
                 ..SweepOptions::default()
             },
             // Capacity 1 with 1 shard: the second distinct orbit evicts
-            // the first result, but programs live in their own cache.
+            // the first result.
             cache_capacity: 1,
             cache_shards: 1,
             ..ServiceOptions::default()
@@ -1600,12 +1447,14 @@ mod tests {
         let body_b = r#"{"algorithm":"alg4","speed":0.75,"distance":0.9,"visibility":0.25}"#;
         let (first, _) = svc.handle(&request("POST", "/first-contact", body_a));
         assert_eq!(first.status, 200, "{}", first.body);
-        assert_eq!(svc.program_stats().misses, 1, "first miss lowers a partner");
-        assert_eq!(svc.reference_lowerings(), 1, "and the shared reference");
+        assert_eq!(
+            svc.reference_lowerings(),
+            1,
+            "first miss lowers the reference"
+        );
         let (_, _) = svc.handle(&request("POST", "/first-contact", body_b));
         // A second orbit lowers its own partner but *shares* the
         // reference program — the big arena is never lowered twice.
-        assert_eq!(svc.program_stats().misses, 2);
         assert_eq!(svc.reference_lowerings(), 1, "reference must be shared");
         let (again, _) = svc.handle(&request("POST", "/first-contact", body_a));
         assert_eq!(header(&again, "X-Rvz-Cache"), "miss", "result was evicted");
@@ -1615,9 +1464,6 @@ mod tests {
             1,
             "a warm miss re-runs the engine without re-lowering the reference"
         );
-        // With capacity 1 the partner was evicted alongside its result:
-        // the re-miss re-lowers the partner (and only the partner).
-        assert_eq!(svc.program_stats().misses, 3);
         let (stats, _) = svc.handle(&request("GET", "/stats", ""));
         assert!(
             stats.body.contains("\"reference_lowerings\":1"),
@@ -1750,7 +1596,7 @@ mod tests {
         let path = dir.join("cache.snap");
 
         // A horizon the reference lowering covers, so the compiled
-        // path engages and the program cache fills alongside results.
+        // route answers the misses.
         let program_options = || ServiceOptions {
             sweep: SweepOptions {
                 threads: 1,
@@ -1779,12 +1625,8 @@ mod tests {
             assert_eq!(header(&resp, "X-Rvz-Cache"), "miss");
             answers.push(resp.body);
         }
-        assert_eq!(svc.program_stats().entries, 3, "partners were cached");
         let entries = svc.write_snapshot_to(&path).unwrap();
-        assert_eq!(
-            entries,
-            svc.cache_stats().entries + svc.program_stats().entries
-        );
+        assert_eq!(entries, svc.cache_stats().entries);
 
         // A fresh process: restore must be warm, and every previously
         // answered query must come back byte-identical as a cache hit
@@ -1793,11 +1635,6 @@ mod tests {
         let outcome = restored.restore_from(&path);
         assert!(matches!(outcome, RestoreOutcome::Warm { .. }), "{outcome}");
         assert_eq!(restored.cache_stats().entries, svc.cache_stats().entries);
-        assert_eq!(
-            restored.program_stats().entries,
-            svc.program_stats().entries,
-            "program orbit keys restore as placeholders"
-        );
         for (body, expected) in bodies.iter().zip(&answers) {
             let (resp, _) = restored.handle(&request("POST", "/first-contact", body));
             assert_eq!(
@@ -1819,7 +1656,7 @@ mod tests {
             stats.body
         );
         assert!(
-            stats.body.contains("\"restored_entries\":6"),
+            stats.body.contains("\"restored_entries\":3"),
             "{}",
             stats.body
         );
@@ -1997,5 +1834,55 @@ mod tests {
             assert_eq!(hidden.body, unknown.body, "{path}");
             assert_eq!(hidden.content_type, unknown.content_type, "{path}");
         }
+    }
+
+    #[test]
+    fn restored_snapshot_answers_like_a_fresh_service() {
+        // At this horizon the alg7 reference covers the horizon (the
+        // compiled route serves alg7 misses) while the alg4 reference is
+        // refused. A restored snapshot must not change which engine
+        // answers an evicted orbit: the restarted service's bytes equal
+        // a fresh service's for the same query.
+        let dir = std::env::temp_dir().join(format!("rvz-svc-route-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.snap");
+        let options = || ServiceOptions {
+            sweep: SweepOptions {
+                threads: 1,
+                contact: rvz_sim::ContactOptions {
+                    horizon: rvz_search::times::rounds_total(6),
+                    ..rvz_sim::ContactOptions::default()
+                },
+                ..SweepOptions::default()
+            },
+            cache_capacity: 2,
+            cache_shards: 1,
+            ..ServiceOptions::default()
+        };
+        let alg7 = r#"{"algorithm":"alg7","time_unit":0.5,"distance":1.7,"visibility":0.1}"#;
+        let svc = Service::new(options());
+        let (first, _) = svc.handle(&request("POST", "/first-contact", alg7));
+        assert_eq!(first.status, 200, "{}", first.body);
+        // Two alg4 orbits evict the alg7 result.
+        for v in [0.5, 0.6] {
+            let body = format!(
+                "{{\"algorithm\":\"alg4\",\"speed\":{v},\"distance\":0.9,\"visibility\":0.25}}"
+            );
+            let (resp, _) = svc.handle(&request("POST", "/first-contact", &body));
+            assert_eq!(resp.status, 200, "{}", resp.body);
+        }
+        svc.write_snapshot_to(&path).unwrap();
+
+        let restored = Service::new(options());
+        restored.restore_from(&path);
+        let (again, _) = restored.handle(&request("POST", "/first-contact", alg7));
+        assert_eq!(header(&again, "X-Rvz-Cache"), "miss", "alg7 was evicted");
+        let (fresh, _) = Service::new(options()).handle(&request("POST", "/first-contact", alg7));
+        assert_eq!(
+            again.body, fresh.body,
+            "restore changed the answering engine"
+        );
+        assert_eq!(fresh.body, first.body);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

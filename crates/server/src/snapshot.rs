@@ -1,5 +1,5 @@
 //! Crash-safe cache snapshots: persist the symmetry-canonicalized
-//! result cache (and the compiled-program orbit keys) across restarts.
+//! result cache across restarts.
 //!
 //! ## Why this is sound
 //!
@@ -18,18 +18,21 @@
 //!
 //! ```text
 //! "RVZSNAP1"  magic, 8 bytes
-//! version     u32 LE
+//! version     u32 LE (SNAPSHOT_VERSION, currently 2)
 //! record*     len u32 LE | crc32 u32 LE | payload (len bytes)
 //! ```
 //!
-//! Payload kinds (first byte): `0` = meta (engine fingerprint plus
-//! the expected record counts, must be the first record), `1` = result
-//! entry (key + outcome, fixed width), `2` = program orbit key. The
-//! counts let a restore tell a complete-but-small snapshot apart from
-//! one truncated exactly at a record boundary (which CRC framing alone
-//! cannot see). Records appear in cache recency order
-//! (least- to most-recent per shard), so replaying inserts reproduces
-//! every shard's LRU list exactly.
+//! Payload kinds (first byte): `0` = meta (13 bytes: kind, engine
+//! fingerprint, expected result count; must be the first record), `1`
+//! = result entry (key + outcome, fixed width). The count lets a
+//! restore tell a complete-but-small snapshot apart from one truncated
+//! exactly at a record boundary (which CRC framing alone cannot see).
+//! Records appear in cache recency order (least- to most-recent per
+//! shard), so replaying inserts reproduces every shard's LRU list
+//! exactly.
+//!
+//! A version 1 file (it also carried compiled-program orbit keys, kind
+//! `2`) cold-starts through the version check like any other skew.
 //!
 //! ## Crash consistency
 //!
@@ -55,28 +58,21 @@ use std::sync::Arc;
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RVZSNAP1";
 
 /// Snapshot format version (bumped on any layout change).
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const KIND_META: u8 = 0;
 const KIND_RESULT: u8 = 1;
-const KIND_PROGRAM: u8 = 2;
 
-/// Everything a snapshot persists: result-cache entries and the
-/// program cache's orbit keys, each in recency order (least- to
-/// most-recently-used per shard).
-///
-/// Program *bodies* are deliberately not persisted — a compiled
-/// program is large and cheap to re-stream lazily, and the key alone
-/// restores the cache's shape (entry count, recency, capacity
-/// pressure). Restored program slots hold `None` until the first miss
-/// re-streams them.
+/// Kind byte, engine fingerprint, expected result count.
+const META_BYTES: usize = 1 + 8 + 4;
+
+/// Everything a snapshot persists: result-cache entries in recency
+/// order (least- to most-recently-used per shard).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SnapshotData {
     /// Result-cache entries. Deadline outcomes are never included (they
     /// are wall-clock artifacts and are never cached to begin with).
     pub results: Vec<(CacheKey, SimOutcome)>,
-    /// Program-cache orbit keys.
-    pub program_keys: Vec<CacheKey>,
 }
 
 /// How a boot-time restore went; reported in the banner and `/stats`.
@@ -93,15 +89,11 @@ pub enum RestoreOutcome {
     Warm {
         /// Result entries restored.
         results: usize,
-        /// Program orbit keys restored.
-        programs: usize,
     },
     /// A valid prefix was restored; the damaged tail was discarded.
     Salvaged {
         /// Result entries restored.
         results: usize,
-        /// Program orbit keys restored.
-        programs: usize,
         /// Bytes discarded after the last valid record.
         dropped_bytes: usize,
     },
@@ -114,20 +106,15 @@ impl RestoreOutcome {
         match self {
             RestoreOutcome::Cold { .. } => "cold".to_string(),
             RestoreOutcome::Warm { .. } => "warm".to_string(),
-            RestoreOutcome::Salvaged {
-                results, programs, ..
-            } => format!("salvaged {}", results + programs),
+            RestoreOutcome::Salvaged { results, .. } => format!("salvaged {results}"),
         }
     }
 
-    /// Entries restored (results + program keys).
+    /// Result entries restored.
     pub fn entries(&self) -> usize {
         match self {
             RestoreOutcome::Cold { .. } => 0,
-            RestoreOutcome::Warm { results, programs }
-            | RestoreOutcome::Salvaged {
-                results, programs, ..
-            } => results + programs,
+            RestoreOutcome::Warm { results } | RestoreOutcome::Salvaged { results, .. } => *results,
         }
     }
 }
@@ -136,18 +123,13 @@ impl std::fmt::Display for RestoreOutcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RestoreOutcome::Cold { reason } => write!(f, "cold ({reason})"),
-            RestoreOutcome::Warm { results, programs } => {
-                write!(f, "warm ({results} results, {programs} program keys)")
-            }
+            RestoreOutcome::Warm { results } => write!(f, "warm ({results} results)"),
             RestoreOutcome::Salvaged {
                 results,
-                programs,
                 dropped_bytes,
             } => write!(
                 f,
-                "salvaged {} ({results} results, {programs} program keys; \
-                 {dropped_bytes} damaged bytes dropped)",
-                results + programs
+                "salvaged {results} ({dropped_bytes} damaged bytes dropped)"
             ),
         }
     }
@@ -291,7 +273,7 @@ fn push_record(out: &mut Vec<u8>, payload: &[u8]) {
 /// the durable path).
 pub fn encode_snapshot(fingerprint: u64, data: &SnapshotData) -> Vec<u8> {
     let mut out = Vec::with_capacity(
-        8 + 4 + (8 + 9) + (8 + 1 + KEY_BYTES + OUTCOME_BYTES) * data.results.len(),
+        8 + 4 + (8 + META_BYTES) + (8 + 1 + KEY_BYTES + OUTCOME_BYTES) * data.results.len(),
     );
     out.extend_from_slice(SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -303,7 +285,6 @@ pub fn encode_snapshot(fingerprint: u64, data: &SnapshotData) -> Vec<u8> {
         .filter(|(_, o)| !matches!(o, SimOutcome::Deadline { .. }))
         .count();
     meta.extend_from_slice(&(persisted_results as u32).to_le_bytes());
-    meta.extend_from_slice(&(data.program_keys.len() as u32).to_le_bytes());
     push_record(&mut out, &meta);
     let mut payload = Vec::with_capacity(1 + KEY_BYTES + OUTCOME_BYTES);
     for (key, outcome) in &data.results {
@@ -313,12 +294,6 @@ pub fn encode_snapshot(fingerprint: u64, data: &SnapshotData) -> Vec<u8> {
         if !push_outcome(&mut payload, outcome) {
             continue; // deadline outcome: skip, never persist
         }
-        push_record(&mut out, &payload);
-    }
-    for key in &data.program_keys {
-        payload.clear();
-        payload.push(KIND_PROGRAM);
-        push_key(&mut payload, key);
         push_record(&mut out, &payload);
     }
     out
@@ -369,7 +344,7 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> (SnapshotData, Restore
     let mut offset = 12usize;
     let mut first = true;
     let mut clean = true;
-    let mut expected = (0usize, 0usize);
+    let mut expected = 0usize;
     while offset < bytes.len() {
         let Some(payload) = next_record(bytes, &mut offset) else {
             clean = false;
@@ -377,7 +352,7 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> (SnapshotData, Restore
         };
         let ok = match payload.first() {
             Some(&KIND_META) if first => {
-                if payload.len() != 17 {
+                if payload.len() != META_BYTES {
                     return cold("malformed meta record");
                 }
                 let stored = read_u64(payload, 1);
@@ -387,15 +362,11 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> (SnapshotData, Restore
                          snapshot entries would not be byte-identical to recompute",
                     );
                 }
-                expected = (
-                    u32::from_le_bytes(payload[9..13].try_into().expect("length checked")) as usize,
-                    u32::from_le_bytes(payload[13..17].try_into().expect("length checked"))
-                        as usize,
-                );
+                expected =
+                    u32::from_le_bytes(payload[9..13].try_into().expect("length checked")) as usize;
                 true
             }
             Some(&KIND_RESULT) if !first => decode_result(payload, &mut data),
-            Some(&KIND_PROGRAM) if !first => decode_program(payload, &mut data),
             _ => false,
         };
         if !ok {
@@ -408,10 +379,9 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> (SnapshotData, Restore
         // Header but no meta record: nothing trustworthy.
         return cold("snapshot holds no meta record");
     }
-    if clean && expected == (data.results.len(), data.program_keys.len()) {
+    if clean && expected == data.results.len() {
         let outcome = RestoreOutcome::Warm {
             results: data.results.len(),
-            programs: data.program_keys.len(),
         };
         (data, outcome)
     } else {
@@ -420,7 +390,6 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> (SnapshotData, Restore
         // (truncation at a record boundary).
         let outcome = RestoreOutcome::Salvaged {
             results: data.results.len(),
-            programs: data.program_keys.len(),
             dropped_bytes: bytes.len() - offset,
         };
         (data, outcome)
@@ -461,17 +430,6 @@ fn decode_result(payload: &[u8], data: &mut SnapshotData) -> bool {
         return false;
     };
     data.results.push((key, outcome));
-    true
-}
-
-fn decode_program(payload: &[u8], data: &mut SnapshotData) -> bool {
-    if payload.len() != 1 + KEY_BYTES {
-        return false;
-    }
-    let Some(key) = parse_key(&payload[1..]) else {
-        return false;
-    };
-    data.program_keys.push(key);
     true
 }
 
@@ -517,7 +475,7 @@ mod tests {
     }
 
     fn sample() -> SnapshotData {
-        let ks = keys(5);
+        let ks = keys(3);
         SnapshotData {
             results: vec![
                 (
@@ -545,7 +503,6 @@ mod tests {
                     },
                 ),
             ],
-            program_keys: vec![ks[3], ks[4]],
         }
     }
 
@@ -557,15 +514,9 @@ mod tests {
         let bytes = encode_snapshot(FP, &data);
         let (back, outcome) = decode_snapshot(&bytes, FP);
         assert_eq!(back, data, "bit patterns survive exactly");
-        assert_eq!(
-            outcome,
-            RestoreOutcome::Warm {
-                results: 3,
-                programs: 2
-            }
-        );
+        assert_eq!(outcome, RestoreOutcome::Warm { results: 3 });
         assert_eq!(outcome.label(), "warm");
-        assert_eq!(outcome.entries(), 5);
+        assert_eq!(outcome.entries(), 3);
     }
 
     #[test]
@@ -576,22 +527,15 @@ mod tests {
             let (partial, outcome) = decode_snapshot(&bytes[..cut], FP);
             // Salvage must never fabricate entries...
             assert!(partial.results.len() <= data.results.len());
-            assert!(partial.program_keys.len() <= data.program_keys.len());
             // ...and every salvaged entry must be a true prefix.
             assert_eq!(partial.results[..], data.results[..partial.results.len()]);
-            assert_eq!(
-                partial.program_keys[..],
-                data.program_keys[..partial.program_keys.len()]
-            );
             match outcome {
                 RestoreOutcome::Warm { .. } => {
                     assert_eq!(cut, bytes.len(), "only the full file is warm")
                 }
-                RestoreOutcome::Cold { .. } => assert_eq!(
-                    partial.results.len() + partial.program_keys.len(),
-                    0,
-                    "cold restores nothing"
-                ),
+                RestoreOutcome::Cold { .. } => {
+                    assert_eq!(partial.results.len(), 0, "cold restores nothing")
+                }
                 RestoreOutcome::Salvaged { .. } => {}
             }
         }
@@ -607,10 +551,10 @@ mod tests {
         let data = sample();
         let clean = encode_snapshot(FP, &data);
         // Flip a byte inside the *second* result record's payload:
-        // header (12) + meta record (8 + 17) + first result record
-        // (8 + 1 + KEY_BYTES + OUTCOME_BYTES) puts us at its frame.
+        // header (12) + meta record (8 + META_BYTES) + first result
+        // record (8 + 1 + KEY_BYTES + OUTCOME_BYTES) puts us at its frame.
         let mut bytes = clean.clone();
-        let second_record = 12 + (8 + 17) + (8 + 1 + KEY_BYTES + OUTCOME_BYTES);
+        let second_record = 12 + (8 + META_BYTES) + (8 + 1 + KEY_BYTES + OUTCOME_BYTES);
         bytes[second_record + 8 + 10] ^= 0x10;
         let (partial, outcome) = decode_snapshot(&bytes, FP);
         match outcome {
@@ -650,6 +594,14 @@ mod tests {
             matches!(&o, RestoreOutcome::Cold { reason } if reason.contains("version")),
             "{o:?}"
         );
+        // A version 1 file (it carried program orbit keys) cold-starts.
+        skewed[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let (d, o) = decode_snapshot(&skewed, FP);
+        assert_eq!(d, SnapshotData::default());
+        assert!(
+            matches!(&o, RestoreOutcome::Cold { reason } if reason.contains("version 1")),
+            "{o:?}"
+        );
 
         let (_, o) = decode_snapshot(b"not a snapshot at all", FP);
         assert!(matches!(&o, RestoreOutcome::Cold { reason } if reason.contains("magic")));
@@ -680,7 +632,6 @@ mod tests {
                     },
                 ),
             ],
-            program_keys: vec![],
         };
         let bytes = encode_snapshot(FP, &data);
         let (back, outcome) = decode_snapshot(&bytes, FP);
@@ -712,11 +663,10 @@ mod tests {
             limit: 1,
             ..DiskFaultPlan::default()
         }));
-        let bigger = SnapshotData {
-            program_keys: keys(8),
-            ..data.clone()
+        let smaller = SnapshotData {
+            results: data.results[..1].to_vec(),
         };
-        assert!(write_snapshot(&path, FP, &bigger, Some(Arc::clone(&faults))).is_err());
+        assert!(write_snapshot(&path, FP, &smaller, Some(Arc::clone(&faults))).is_err());
         assert_eq!(faults.injected(DiskFaultSite::TornRename), 1);
         let (back, outcome) = read_snapshot(&path, FP, None);
         assert_eq!(back, data, "previous snapshot intact after the fault");

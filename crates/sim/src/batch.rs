@@ -14,8 +14,7 @@
 
 use crate::compiled::{try_first_contact_programs, EngineScratch};
 use crate::engine::{first_contact, ContactOptions, SimOutcome};
-use crate::stationary::Stationary;
-use rvz_model::{RendezvousInstance, SearchInstance};
+use rvz_model::RendezvousInstance;
 use rvz_trajectory::{Compile, CompileError, CompileOptions, CompiledProgram, MonotoneTrajectory};
 
 /// [`crate::simulate_rendezvous`] with the algorithm taken by reference:
@@ -49,16 +48,6 @@ pub fn simulate_rendezvous_by_ref<T: MonotoneTrajectory>(
     first_contact(algorithm, &partner, instance.visibility(), opts)
 }
 
-/// [`crate::simulate_search`] with the algorithm taken by reference.
-pub fn simulate_search_by_ref<T: MonotoneTrajectory>(
-    algorithm: &T,
-    instance: &SearchInstance,
-    opts: &ContactOptions,
-) -> SimOutcome {
-    let target = Stationary::new(instance.target());
-    first_contact(algorithm, &target, instance.visibility(), opts)
-}
-
 /// Lowers the partner robot of a rendezvous instance — the algorithm
 /// seen through the instance's attribute frame — to a compiled program.
 ///
@@ -81,30 +70,10 @@ pub fn compile_rendezvous_partner<T: Compile + MonotoneTrajectory>(
         .compile(opts)
 }
 
-/// [`simulate_rendezvous_by_ref`] on the compiled fast path: the
-/// reference program is compiled once per batch, the partner per
-/// instance, and the query runs monomorphically with the shared
-/// `scratch`.
-///
-/// Returns `None` when the partner cannot be lowered within `compile`'s
-/// budget **or** the query needs time beyond the covered span — the
-/// caller falls back to [`simulate_rendezvous_by_ref`]; a returned
-/// outcome always equals the fully compiled run's.
-pub fn try_simulate_rendezvous_compiled<T: Compile + MonotoneTrajectory>(
-    reference: &CompiledProgram,
-    algorithm: &T,
-    instance: &RendezvousInstance,
-    opts: &ContactOptions,
-    compile: &CompileOptions,
-    scratch: &mut EngineScratch,
-) -> Option<SimOutcome> {
-    let partner = compile_rendezvous_partner(algorithm, instance, compile).ok()?;
-    try_first_contact_programs(reference, &partner, instance.visibility(), opts, scratch)
-}
-
-/// [`try_simulate_rendezvous_compiled`] with a **streaming** partner:
-/// instead of eagerly lowering the warped partner to the full horizon
-/// before the first probe, the partner runs as a
+/// [`simulate_rendezvous_by_ref`] on the compiled fast path with a
+/// **streaming** partner: instead of eagerly lowering the warped
+/// partner ([`compile_rendezvous_partner`]) to the full horizon before
+/// the first probe, the partner runs as a
 /// [`LazyProgram`](rvz_trajectory::LazyProgram) that materializes
 /// pieces only as far as the query advances. On deep schedules whose
 /// queries resolve early this removes the dominant per-instance
@@ -114,9 +83,8 @@ pub fn try_simulate_rendezvous_compiled<T: Compile + MonotoneTrajectory>(
 /// Returns `None` when the query needs time the partner cannot cover
 /// (piece budget, a curved span without an
 /// [`approx_tolerance`](rvz_trajectory::CompileOptions::approx_tolerance),
-/// an uncertifiable bound) — the caller falls back to the cursor path,
-/// exactly as with the eager variant. A returned outcome always equals
-/// the fully compiled run's.
+/// an uncertifiable bound) — the caller falls back to the cursor path.
+/// A returned outcome always equals the fully compiled run's.
 pub fn try_simulate_rendezvous_lazy<T: Compile + MonotoneTrajectory>(
     reference: &CompiledProgram,
     algorithm: &T,
@@ -130,19 +98,6 @@ pub fn try_simulate_rendezvous_lazy<T: Compile + MonotoneTrajectory>(
         .frame_warp(algorithm, instance.offset());
     let lazy = rvz_trajectory::LazyProgram::new(&partner, *compile);
     try_first_contact_programs(reference, &lazy, instance.visibility(), opts, scratch)
-}
-
-/// Runs a batch of rendezvous instances under one shared algorithm value,
-/// returning outcomes in instance order.
-pub fn run_rendezvous_batch<T: MonotoneTrajectory>(
-    algorithm: &T,
-    instances: &[RendezvousInstance],
-    opts: &ContactOptions,
-) -> Vec<SimOutcome> {
-    instances
-        .iter()
-        .map(|inst| simulate_rendezvous_by_ref(algorithm, inst, opts))
-        .collect()
 }
 
 #[cfg(test)]
@@ -163,21 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_preserves_instance_order() {
-        let attrs = RobotAttributes::reference().with_speed(0.5);
-        let instances: Vec<_> = [0.4, 0.8, 1.2]
-            .iter()
-            .map(|&d| RendezvousInstance::new(Vec2::new(0.0, d), 0.05, attrs).unwrap())
-            .collect();
-        let outcomes =
-            run_rendezvous_batch(&UniversalSearch, &instances, &ContactOptions::default());
-        assert_eq!(outcomes.len(), 3);
-        let times: Vec<f64> = outcomes.iter().map(|o| o.contact_time().unwrap()).collect();
-        // Farther instances cannot meet earlier under the same algorithm.
-        assert!(times[0] <= times[1] && times[1] <= times[2], "{times:?}");
-    }
-
-    #[test]
     fn lazy_batch_matches_eager_and_cursor() {
         let attrs = RobotAttributes::reference().with_speed(0.5);
         let opts = ContactOptions::default();
@@ -195,12 +135,12 @@ mod tests {
                 &mut scratch,
             )
             .expect("lazy partner covers the resolved span");
-            let eager = try_simulate_rendezvous_compiled(
+            let partner = compile_rendezvous_partner(&UniversalSearch, &inst, &compile).unwrap();
+            let eager = try_first_contact_programs(
                 &reference,
-                &UniversalSearch,
-                &inst,
+                &partner,
+                inst.visibility(),
                 &opts,
-                &compile,
                 &mut scratch,
             )
             .expect("eager partner covers the horizon");
@@ -215,15 +155,5 @@ mod tests {
                 assert!((tl - to).abs() < 1e-6, "d = {d}: {tl} vs {to}");
             }
         }
-    }
-
-    #[test]
-    fn search_by_ref_matches_by_value() {
-        let inst = SearchInstance::new(Vec2::new(0.6, 0.6), 0.05).unwrap();
-        let opts = ContactOptions::default();
-        assert_eq!(
-            simulate_search_by_ref(&UniversalSearch, &inst, &opts),
-            crate::simulate_search(UniversalSearch, &inst, &opts)
-        );
     }
 }

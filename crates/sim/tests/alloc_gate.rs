@@ -9,8 +9,12 @@
 //! allocation observed by the counter) guards against the vacuous pass
 //! where the allocator silently failed to register.
 //!
-//! Single-threaded by construction: the counter is process-wide, so
-//! this binary holds exactly these serial tests.
+//! The counter is thread-local, so libtest may run these tests on
+//! parallel threads: each test counts only its own thread's
+//! allocations, never another test's or the harness's. That sees every
+//! allocation a query makes because no engine entry point allocates off
+//! the calling thread: queries are synchronous, spawn no threads, hand
+//! no work to a pool, and borrow their scratch from the caller.
 
 use rvz_geometry::Vec2;
 use rvz_model::RobotAttributes;
@@ -21,27 +25,35 @@ use rvz_sim::{
 };
 use rvz_trajectory::{Compile, CompileOptions, CompiledProgram, MonotoneDyn, ProgramSoA};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free: touching it from inside the
+    // allocator never allocates and never runs a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 struct Counting;
 
 // SAFETY: defers to `System`; the counter has no safety impact.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -50,16 +62,15 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 fn allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let value = f();
-    (value, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (value, ALLOCATIONS.with(Cell::get) - before)
 }
 
-/// The counter is process-wide, and the libtest harness's main thread
-/// may allocate concurrently (result channels, output buffers). A real
-/// engine regression allocates on *every* run, so the minimum over a
-/// few attempts is a sound zero-allocation detector that ignores
-/// unrelated one-off noise.
+/// A real engine regression allocates on *every* run, so the minimum
+/// over a few attempts is a sound zero-allocation detector that ignores
+/// one-off work on this thread (such as a lazily initialised
+/// thread-local).
 fn min_allocs(mut f: impl FnMut()) -> u64 {
     (0..5)
         .map(|_| {

@@ -223,8 +223,7 @@ impl<'a> LazyProgram<'a> {
     /// handle then seeds identical pruning windows, visits identical
     /// times, and reproduces the lazy run's outcome bit for bit. Unlike
     /// the lazy program the result is `Send + Sync`, so it can be
-    /// shared across threads (the `rvz serve` partner cache freezes
-    /// each query's materialized depth this way).
+    /// shared across threads.
     pub fn freeze(&self) -> CompiledProgram {
         let state = self.state.borrow();
         assemble_program(
